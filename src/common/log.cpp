@@ -7,6 +7,8 @@
 #include <mutex>
 #include <utility>
 
+#include "common/json_escape.hpp"
+
 namespace stackscope::log {
 
 namespace {
@@ -26,36 +28,6 @@ elapsedMs()
         std::chrono::duration_cast<std::chrono::milliseconds>(clock::now() -
                                                               start)
             .count());
-}
-
-/**
- * Minimal JSON string escaping. Duplicated from obs/json.cpp on purpose:
- * common/ sits below obs/ in the layering and must not link it.
- */
-std::string
-escape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char ch : text) {
-        const auto c = static_cast<unsigned char>(ch);
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
 }
 
 }  // namespace
@@ -160,10 +132,11 @@ messageImpl(Level level, std::string_view module, std::string_view text,
     if (jsonOutput()) {
         line = "{\"t_ms\":" + std::to_string(t_ms) + ",\"level\":\"" +
                std::string(toString(level)) + "\",\"module\":\"" +
-               escape(module) + "\",\"msg\":\"" + escape(text) + "\"";
+               jsonEscape(module) + "\",\"msg\":\"" + jsonEscape(text) +
+               "\"";
         for (const Field *f = begin; f != end; ++f)
-            line += ",\"" + escape(f->key) + "\":\"" + escape(f->value) +
-                    "\"";
+            line += ",\"" + jsonEscape(f->key) + "\":\"" +
+                    jsonEscape(f->value) + "\"";
         line += "}";
     } else {
         line = "stackscope[" + std::string(toString(level)) + "] " +

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <limits>
 
 #include "common/simd.hpp"
 
 namespace stackscope::core {
 
 using stacks::BackendBlame;
-using stacks::CycleRecord;
 using stacks::CycleState;
 using stacks::FrontendReason;
 using stacks::Stage;
@@ -54,7 +52,6 @@ OooCore::OooCore(const CoreParams &params,
     assert(trace::kMaxDepDistance + params_.rob_size < kScoreboardSize);
     // ScoreEntry::waiters stores ROB slots as uint16_t.
     assert(params_.rob_size <= 0xffff);
-    batch_.reserve(kBatchCapacity);
     const std::uint64_t line = mem_.params().l1i.line_bytes;
     if (line > 1 && (line & (line - 1)) == 0) {
         while ((std::uint64_t{1} << ifetch_line_shift_) < line)
@@ -66,9 +63,9 @@ OooCore::OooCore(const CoreParams &params,
 const stacks::CpiAccountant &
 OooCore::accountant(Stage stage) const
 {
-    // Logical constness: draining the record ring changes no observable
-    // result, it only moves already-recorded cycles into the accountant.
-    const_cast<OooCore *>(this)->flushBatch();
+    // Logical constness: accounting the pending run changes no observable
+    // result, it only moves already-observed cycles into the accountant.
+    const_cast<OooCore *>(this)->flushPending();
     switch (stage) {
       case Stage::kDispatch: return acct_dispatch_;
       case Stage::kIssue: return acct_issue_;
@@ -82,7 +79,7 @@ OooCore::accountant(Stage stage) const
 const stacks::FlopsAccountant &
 OooCore::flopsAccountant() const
 {
-    const_cast<OooCore *>(this)->flushBatch();
+    const_cast<OooCore *>(this)->flushPending();
     return flops_;
 }
 
@@ -276,11 +273,9 @@ OooCore::onBranchFetchedAll(SeqNum seq)
         params_.spec_mode != stacks::SpeculationMode::kSpecCounters)
         return;
     // Spec-counter epochs are order-sensitive with respect to branch
-    // events: drain the ring so every already-recorded cycle is accounted
-    // before the event, exactly as the per-cycle reference interleaves
-    // them.
-    if (params_.batched_accounting)
-        flushBatch();
+    // events: account the pending run before the event, exactly as the
+    // per-cycle reference interleaves them.
+    flushPending();
     acct_dispatch_.onBranchFetched(seq);
     acct_issue_.onBranchFetched(seq);
     acct_commit_.onBranchFetched(seq);
@@ -292,8 +287,7 @@ OooCore::onBranchResolvedAll(SeqNum seq, bool mispredicted)
     if (!params_.accounting_enabled ||
         params_.spec_mode != stacks::SpeculationMode::kSpecCounters)
         return;
-    if (params_.batched_accounting)
-        flushBatch();
+    flushPending();
     acct_dispatch_.onBranchResolved(seq, mispredicted);
     acct_issue_.onBranchResolved(seq, mispredicted);
     acct_commit_.onBranchResolved(seq, mispredicted);
@@ -887,92 +881,48 @@ OooCore::doFetch()
 }
 
 void
-OooCore::flushBatch()
+OooCore::tickAll(const CycleState &s, Cycle n)
 {
-    if (batch_.empty())
+    acct_dispatch_.tickRepeat(s, n);
+    acct_issue_.tickRepeat(s, n);
+    acct_commit_.tickRepeat(s, n);
+    flops_.tickRepeat(s, n);
+}
+
+void
+OooCore::flushPending()
+{
+    if (pending_run_n_ == 0)
         return;
-    acct_dispatch_.tickBatch(batch_.data(), batch_.size());
-    acct_issue_.tickBatch(batch_.data(), batch_.size());
-    acct_commit_.tickBatch(batch_.data(), batch_.size());
-    flops_.tickBatch(batch_.data(), batch_.size());
-    batch_.clear();
+    tickAll(pending_run_, pending_run_n_);
+    pending_run_n_ = 0;
 }
 
 void
-OooCore::appendRecord(const CycleRecord &rec)
-{
-    if (!batch_.empty()) {
-        CycleRecord &last = batch_.back();
-        // Runs of identical idle cycles collapse into one record; records
-        // with any pipeline activity are kept singular so the accountants'
-        // per-cycle arithmetic (and the §III-A carry) replays bit-exactly.
-        if (last.flags == rec.flags && last.idle() && rec.idle() &&
-            rec.repeat <=
-                std::numeric_limits<std::uint32_t>::max() - last.repeat) {
-            last.repeat += rec.repeat;
-            return;
-        }
-    }
-    if (batch_.size() == kBatchCapacity)
-        flushBatch();
-    batch_.push_back(rec);
-}
-
-void
-OooCore::account()
+OooCore::account(Cycle span)
 {
     if (!params_.accounting_enabled)
         return;
-    if (!params_.batched_accounting) {
-        acct_dispatch_.tick(cs_);
-        acct_issue_.tick(cs_);
-        acct_commit_.tick(cs_);
-        flops_.tick(cs_);
-        return;
-    }
-    // The record ring earns its keep on idle runs (one record accounts a
-    // whole span); for a cycle with pipeline activity, packing + ring
-    // traffic is pure overhead on top of the same per-record arithmetic.
-    // Tick active cycles directly instead — bit-identical, because the
-    // batch stall table is built from the very classify functions tick()
-    // uses — after draining any buffered idle run to keep the §III-A
-    // carry sequence exact.
     const bool idle = (cs_.n_dispatch | cs_.n_dispatch_wrong | cs_.n_issue |
                        cs_.n_issue_wrong | cs_.n_commit | cs_.n_vfp |
                        cs_.nonvfp_on_vpu) == 0;
-    if (!idle) {
-        flushBatch();
-        acct_dispatch_.tick(cs_);
-        acct_issue_.tick(cs_);
-        acct_commit_.tick(cs_);
-        flops_.tick(cs_);
+    // Any cycle with pipeline activity is ticked directly, after the
+    // pending run, so the §III-A carry sequence stays exact.
+    if (!idle || !params_.batched_accounting) {
+        assert(span == 1);  // only idle spans skip, never in the reference
+        flushPending();
+        tickAll(cs_, 1);
         return;
     }
-    appendRecord(stacks::packCycleState(cs_));
-}
-
-void
-OooCore::accountUnsched(Cycle span)
-{
-    if (!params_.accounting_enabled)
-        return;
-    if (!params_.batched_accounting) {
-        assert(span == 1);
-        acct_dispatch_.tick(cs_);
-        acct_issue_.tick(cs_);
-        acct_commit_.tick(cs_);
-        flops_.tick(cs_);
+    // Idle cycles have all-zero counts and VFP sums, so equal idle states
+    // differ in nothing the accountants read and fold into one run.
+    if (pending_run_n_ != 0 && pending_run_ == cs_) {
+        pending_run_n_ += span;
         return;
     }
-    CycleRecord rec{};
-    rec.flags = stacks::record_flags::kUnsched;
-    while (span > 0) {
-        const Cycle chunk = std::min<Cycle>(
-            span, std::numeric_limits<std::uint32_t>::max());
-        rec.repeat = static_cast<std::uint32_t>(chunk);
-        appendRecord(rec);
-        span -= chunk;
-    }
+    flushPending();
+    pending_run_ = cs_;
+    pending_run_n_ = span;
 }
 
 void
@@ -982,8 +932,8 @@ OooCore::maybeSkipAhead()
     // provably inert: microarchitectural state next changes only when a
     // writeback completes, an icache refill lands, or a redirect expires.
     // Jump to the earliest such event and account the skipped cycles as
-    // repeats of the (identical) record just appended. See
-    // docs/performance.md for the legality argument.
+    // repeats of the (identical) idle cycle just added to the pending
+    // run. See docs/performance.md for the legality argument.
     if (!skip_allowed_ || progress_ || cs_.ready_unissued)
         return;
     // earliest() is kNeverCycle when the calendar is empty.
@@ -997,16 +947,10 @@ OooCore::maybeSkipAhead()
         target = std::min(target, redirect_until_);
     if (target == kNeverCycle || target <= now_)
         return;
-    Cycle span = target - now_;
+    const Cycle span = target - now_;
     if (params_.accounting_enabled) {
-        assert(!batch_.empty());
-        CycleRecord &last = batch_.back();
-        const std::uint32_t headroom =
-            std::numeric_limits<std::uint32_t>::max() - last.repeat;
-        span = std::min<Cycle>(span, headroom);
-        if (span == 0)
-            return;
-        last.repeat += static_cast<std::uint32_t>(span);
+        assert(pending_run_n_ != 0);
+        pending_run_n_ += span;
     }
     now_ += span;
 }
@@ -1022,7 +966,7 @@ OooCore::stepUnsched()
         if (limit > now_)
             span = limit - now_;
     }
-    accountUnsched(span);
+    account(span);
     now_ += span;
 }
 
@@ -1136,7 +1080,7 @@ OooCore::resetMeasurement()
          params_.spec_mode});
     flops_ = stacks::FlopsAccountant(
         {params_.fu.vpu_units, params_.flops_vec_lanes});
-    batch_.clear();  // warmup cycles never reach the fresh accountants
+    pending_run_n_ = 0;  // warmup cycles never reach the fresh accountants
     stats_ = CoreStats{};
     measure_start_cycle_ = now_;
     accounting_finalized_ = false;
@@ -1147,7 +1091,7 @@ OooCore::finalizeAccounting()
 {
     if (accounting_finalized_ || !params_.accounting_enabled)
         return;
-    flushBatch();
+    flushPending();
     acct_dispatch_.finalize();
     acct_issue_.finalize();
     acct_commit_.finalize();

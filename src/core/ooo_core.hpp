@@ -22,13 +22,14 @@
  *
  * Two accounting engines share that observation contract
  * (docs/performance.md):
- *  - the batched engine (default) packs each CycleState into a
- *    stacks::CycleRecord ring consumed in spans via tickBatch(), merges
- *    runs of identical idle cycles, and fast-forwards `now_` across
- *    provably quiet spans to the next writeback/refill/redirect event;
+ *  - the batched engine (default) ticks every active cycle directly,
+ *    holds a run of identical idle cycles as one pending (CycleState, n)
+ *    pair handed over through tickRepeat(), and fast-forwards `now_`
+ *    across provably quiet spans to the next writeback/refill/redirect
+ *    event, adding the span to the pending run;
  *  - the reference engine (CoreParams::batched_accounting = false) keeps
- *    the original one-tick-per-cycle path and never skips, serving as the
- *    golden baseline the batched engine is checked against.
+ *    one tick per cycle and never skips, serving as the golden baseline
+ *    the batched engine is checked against.
  */
 
 #ifndef STACKSCOPE_CORE_OOO_CORE_HPP
@@ -44,7 +45,6 @@
 #include "common/types.hpp"
 #include "core/wb_calendar.hpp"
 #include "stacks/cpi_accountant.hpp"
-#include "stacks/cycle_record.hpp"
 #include "stacks/cycle_state.hpp"
 #include "stacks/flops_accountant.hpp"
 #include "trace/trace_source.hpp"
@@ -82,10 +82,11 @@ struct CoreParams
     bool accounting_enabled = true;
 
     /**
-     * Engine selection: true (default) drives the accountants through the
-     * packed CycleRecord ring with idle-run merging and skip-ahead; false
-     * retains the per-cycle reference path (SimOptions::reference_engine,
-     * the golden baseline of the bit-identity suite).
+     * Engine selection: true (default) folds runs of identical idle
+     * cycles into one tickRepeat() and skips ahead across quiet spans;
+     * false retains the per-cycle reference path
+     * (SimOptions::reference_engine, the golden baseline of the identity
+     * suite).
      */
     bool batched_accounting = true;
 
@@ -118,7 +119,7 @@ struct CoreParams
  * Wall-time breakdown of the pipeline stages, accumulated by
  * OooCore::cycleProfiled() when a profile sink is attached
  * (`bench/simspeed --profile`). Nanoseconds of std::chrono::steady_clock;
- * `accounting_ns` covers record packing/ticking plus skip-ahead.
+ * `accounting_ns` covers ticking the accountants plus skip-ahead.
  */
 struct StageProfile
 {
@@ -233,9 +234,9 @@ class OooCore
                    : static_cast<double>(cycles()) /
                          static_cast<double>(stats_.instrs_committed);
     }
-    /** Per-stage accountant; drains any batched records first. */
+    /** Per-stage accountant; accounts the pending idle run first. */
     const stacks::CpiAccountant &accountant(stacks::Stage stage) const;
-    /** FLOPS accountant; drains any batched records first. */
+    /** FLOPS accountant; accounts the pending idle run first. */
     const stacks::FlopsAccountant &flopsAccountant() const;
     /** The observation record of the most recently executed cycle. */
     const stacks::CycleState &cycleState() const { return cs_; }
@@ -280,8 +281,6 @@ class OooCore
     };
 
     static constexpr std::uint64_t kScoreboardSize = 4096;
-    /** Record ring capacity before a forced drain into the accountants. */
-    static constexpr std::size_t kBatchCapacity = 256;
     /**
      * Counting-filter buckets for pending-store word addresses (power of
      * two; collisions only cost a redundant scan, never a missed one).
@@ -297,11 +296,13 @@ class OooCore
     void cycleProfiled();
     /** One descheduled (yield) step, shared by cycle()/cycleProfiled(). */
     void stepUnsched();
-    void account();
-    void accountUnsched(Cycle span);
+    /** Account `cs_` for @p span cycles (> 1 only for idle spans). */
+    void account(Cycle span = 1);
     void maybeSkipAhead();
-    void flushBatch();
-    void appendRecord(const stacks::CycleRecord &rec);
+    /** tickRepeat(@p s, @p n) on all four accountants. */
+    void tickAll(const stacks::CycleState &s, Cycle n);
+    /** Hand the pending idle run to the accountants. */
+    void flushPending();
     void
     updateSkipAllowed()
     {
@@ -436,7 +437,12 @@ class OooCore
     bool accounting_finalized_ = false;
 
     // Batched engine state.
-    std::vector<stacks::CycleRecord> batch_;
+    /**
+     * The pending idle run: `pending_run_n_` consecutive idle cycles that
+     * all observed `pending_run_` and are not yet accounted (0 = none).
+     */
+    stacks::CycleState pending_run_{};
+    Cycle pending_run_n_ = 0;
     bool progress_ = false;  ///< any state mutation in the current cycle
     bool has_shared_uncore_ = false;
     bool skip_user_enabled_ = true;

@@ -19,9 +19,6 @@
 
 namespace stackscope::obs {
 
-/** Escape @p text for inclusion inside a JSON string literal. */
-std::string jsonEscape(std::string_view text);
-
 /**
  * Append-only JSON document builder. Call sequence mirrors document
  * structure: beginObject()/endObject(), beginArray()/endArray(), key()

@@ -6,22 +6,18 @@
  * rule of §III-A (W = minimum stage width; fractions above 1 carry over to
  * the next cycle).
  *
- * Two consumption paths share one classification: tick() takes a
- * CycleState per cycle (the reference path), tickBatch() takes a span of
- * packed CycleRecords and resolves each stall through a lookup table that
- * the constructor builds by enumerating every flag combination through
- * the same classify functions tick() uses — equivalence by construction,
- * checked by the golden suite (tests/core/batched_reference_test.cpp).
+ * tickRepeat() accounts a run of cycles that all observe the same
+ * CycleState; tick() is the run of one. A run of idle cycles folds into
+ * one add once the carry has drained (docs/performance.md), which the
+ * golden suite checks against one tick per cycle
+ * (tests/core/batched_reference_test.cpp).
  */
 
 #ifndef STACKSCOPE_STACKS_CPI_ACCOUNTANT_HPP
 #define STACKSCOPE_STACKS_CPI_ACCOUNTANT_HPP
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 
-#include "stacks/cycle_record.hpp"
 #include "stacks/cycle_state.hpp"
 #include "stacks/speculation.hpp"
 #include "stacks/stack.hpp"
@@ -51,16 +47,17 @@ class CpiAccountant
     explicit CpiAccountant(const CpiAccountantConfig &config);
 
     /** Account one cycle. */
-    void tick(const CycleState &state);
+    void tick(const CycleState &state) { tickRepeat(state, 1); }
 
     /**
-     * Account a span of packed cycles. Equivalent to unpacking each
-     * record and calling tick() `repeat` times — bitwise so for
-     * repeat == 1 records; repeated idle cycles fold their attribution
-     * into one multiply (summation-order change bounded by ~1e-9 of the
-     * aggregate).
+     * Account @p n consecutive cycles that all observe @p state (n = 0
+     * is a no-op). The per-cycle body runs while the §III-A carry is
+     * draining or the stage moved uops; once neither holds, every
+     * remaining cycle adds 1.0 to the same component, and they fold into
+     * one add. Bitwise equal to tick() for n == 1; otherwise equal to n
+     * ticks up to summation order (~1e-9 of the aggregate).
      */
-    void tickBatch(const CycleRecord *records, std::size_t count);
+    void tickRepeat(const CycleState &state, Cycle n);
 
     /** @name Branch events (used by SpeculationMode::kSpecCounters) @{ */
     void onBranchFetched(SeqNum seq);
@@ -92,18 +89,10 @@ class CpiAccountant
     double accountedCycles() const { return cycles().sum(); }
 
   private:
-    /**
-     * Stall-table key: 11 bits of packed stall state — stage-emptiness
-     * (already resolved against the speculation mode), backend_full,
-     * head_incomplete, ready_unissued, fe_reason, head_blame,
-     * issue_blame.
-     */
-    static constexpr std::size_t kStallTableSize = 1u << 11;
-
     void add(CpiComponent c, double value);
     double usefulFraction(std::uint32_t n_correct, std::uint32_t n_wrong);
 
-    /** @name Pure Table II classification, shared by both paths @{ */
+    /** @name Pure Table II classification @{ */
     static CpiComponent frontendComponent(FrontendReason reason);
     static CpiComponent backendComponent(BackendBlame blame);
     static CpiComponent classifyDispatch(bool fe_empty, bool backend_full,
@@ -118,19 +107,11 @@ class CpiAccountant
                                        BackendBlame head_blame);
     /** @} */
 
-    void buildStallTable();
-    std::size_t stallKey(std::uint32_t flags) const;
-
     CpiAccountantConfig config_;
     CpiStack cycles_;
     SpeculativeCounters spec_;
     double carry_ = 0.0;
     bool finalized_ = false;
-
-    /** Flag bit that answers "is this stage empty?" under config_. */
-    std::uint32_t empty_mask_ = 0;
-    bool empty_inverted_ = false;
-    std::array<std::uint8_t, kStallTableSize> stall_table_{};
 };
 
 }  // namespace stackscope::stacks

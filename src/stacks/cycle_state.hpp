@@ -98,11 +98,11 @@ struct CycleState
     /** Thread yielded this cycle (synchronization). */
     bool unsched = false;
 
-    /** @name Events for speculative-counter accounting (§III-B) @{ */
-    /** A branch entered the pipeline this cycle (count). */
-    std::uint32_t branches_fetched = 0;
-    /** Sequence numbers are communicated via the accountant interface. */
-    /** @} */
+    // Branch events for speculative-counter accounting (§III-B) reach the
+    // accountants through onBranchFetched()/onBranchResolved().
+
+    /** Field-wise; OooCore folds runs of equal idle cycles. */
+    bool operator==(const CycleState &) const = default;
 };
 
 }  // namespace stackscope::stacks

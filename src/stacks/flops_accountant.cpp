@@ -15,10 +15,11 @@ FlopsAccountant::FlopsAccountant(const FlopsAccountantConfig &config)
 }
 
 void
-FlopsAccountant::tick(const CycleState &s)
+FlopsAccountant::tickRepeat(const CycleState &s, Cycle n)
 {
+    const double rep = static_cast<double>(n);
     if (s.unsched) {
-        cycles_[FlopsComponent::kUnsched] += 1.0;
+        cycles_[FlopsComponent::kUnsched] += rep;
         return;
     }
 
@@ -28,68 +29,30 @@ FlopsAccountant::tick(const CycleState &s)
 
     // Table III line 1: f = (sum of a_i * m_i) / (2 k v).
     const double f = s.vfp_lane_ops / peak;
-    cycles_[FlopsComponent::kBase] += f;
+    cycles_[FlopsComponent::kBase] += f * rep;
     if (f >= 1.0)
         return;
 
     // Lines 4-7: per-instruction losses from non-FMA ops and masking.
     // Per issued VFP instruction, f_i + nonfma_i + mask_i = 1/k exactly,
     // so base+nonfma+mask account for n/k of this cycle.
-    cycles_[FlopsComponent::kNonFma] += s.vfp_nonfma_loss / peak;
-    cycles_[FlopsComponent::kMask] += s.vfp_mask_loss / (k * v);
+    cycles_[FlopsComponent::kNonFma] += (s.vfp_nonfma_loss / peak) * rep;
+    cycles_[FlopsComponent::kMask] += (s.vfp_mask_loss / (k * v)) * rep;
 
     // Lines 8-18: the (k - n)/k remainder is attributed to the reason no
     // further VFP instruction issued.
     if (s.n_vfp < config_.vpu_count) {
         const double rem = (k - static_cast<double>(s.n_vfp)) / k;
-        if (!s.vfp_in_rs) {
-            cycles_[FlopsComponent::kFrontend] += rem;
-        } else if (s.nonvfp_on_vpu > 0) {
-            cycles_[FlopsComponent::kNonVfp] += rem;
-        } else if (s.vfp_blame == VfpBlame::kMem) {
-            cycles_[FlopsComponent::kMem] += rem;
-        } else {
-            cycles_[FlopsComponent::kDepend] += rem;
-        }
-    }
-}
-
-void
-FlopsAccountant::tickBatch(const CycleRecord *records, std::size_t count)
-{
-    const double k = config_.vpu_count;
-    const double v = config_.vec_lanes;
-    const double peak = 2.0 * k * v;
-
-    for (std::size_t i = 0; i < count; ++i) {
-        const CycleRecord &r = records[i];
-        const double rep = static_cast<double>(r.repeat);
-        if (r.flags & record_flags::kUnsched) {
-            cycles_[FlopsComponent::kUnsched] += rep;
-            continue;
-        }
-
-        const double f = r.vfp_lane_ops / peak;
-        cycles_[FlopsComponent::kBase] += f * rep;
-        if (f >= 1.0)
-            continue;
-
-        cycles_[FlopsComponent::kNonFma] += (r.vfp_nonfma_loss / peak) * rep;
-        cycles_[FlopsComponent::kMask] += (r.vfp_mask_loss / (k * v)) * rep;
-
-        if (r.n_vfp < config_.vpu_count) {
-            const double rem = (k - static_cast<double>(r.n_vfp)) / k;
-            FlopsComponent c;
-            if (!(r.flags & record_flags::kVfpInRs))
-                c = FlopsComponent::kFrontend;
-            else if (r.nonvfp_on_vpu > 0)
-                c = FlopsComponent::kNonVfp;
-            else if (r.vfpBlame() == VfpBlame::kMem)
-                c = FlopsComponent::kMem;
-            else
-                c = FlopsComponent::kDepend;
-            cycles_[c] += rem * rep;
-        }
+        FlopsComponent c;
+        if (!s.vfp_in_rs)
+            c = FlopsComponent::kFrontend;
+        else if (s.nonvfp_on_vpu > 0)
+            c = FlopsComponent::kNonVfp;
+        else if (s.vfp_blame == VfpBlame::kMem)
+            c = FlopsComponent::kMem;
+        else
+            c = FlopsComponent::kDepend;
+        cycles_[c] += rem * rep;
     }
 }
 

@@ -14,10 +14,8 @@
 #ifndef STACKSCOPE_STACKS_FLOPS_ACCOUNTANT_HPP
 #define STACKSCOPE_STACKS_FLOPS_ACCOUNTANT_HPP
 
-#include <cstddef>
 #include <cstdint>
 
-#include "stacks/cycle_record.hpp"
 #include "stacks/cycle_state.hpp"
 #include "stacks/stack.hpp"
 
@@ -42,15 +40,15 @@ class FlopsAccountant
     explicit FlopsAccountant(const FlopsAccountantConfig &config);
 
     /** Account one cycle. */
-    void tick(const CycleState &state);
+    void tick(const CycleState &state) { tickRepeat(state, 1); }
 
     /**
-     * Account a span of packed cycles: per-record contributions are
-     * computed once and scaled by the run length (Table III has no
-     * cross-cycle carry, so repeats are exactly linear; bitwise equal to
-     * tick() for repeat == 1 records).
+     * Account @p n consecutive cycles that all observe @p state: each
+     * contribution is computed once and scaled by @p n (Table III has no
+     * cross-cycle carry, so a run is exactly linear; bitwise equal to
+     * tick() for n == 1).
      */
-    void tickBatch(const CycleRecord *records, std::size_t count);
+    void tickRepeat(const CycleState &state, Cycle n);
 
     /** Per-component cycle counts. */
     const FlopsStack &cycles() const { return cycles_; }

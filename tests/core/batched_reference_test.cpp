@@ -1,5 +1,5 @@
-/** Golden bit-identity suite: the batched cycle-record engine (packed
- *  records, idle-run folding, skip-ahead) must reproduce the per-cycle
+/** Golden bit-identity suite: the batched engine (idle-run folding
+ *  through tickRepeat, skip-ahead) must reproduce the per-cycle
  *  reference engine exactly — same cycle count, same instruction count,
  *  and every stack component equal to within 1e-9 (the only permitted
  *  difference is the summation-order change when an idle run folds its
@@ -145,6 +145,59 @@ TEST(BatchedReference, MulticoreIdentity)
                                 std::to_string(c));
         EXPECT_TRUE(ref.validation.passed()) << ref.validation.summary();
         EXPECT_TRUE(bat.validation.passed()) << bat.validation.summary();
+    }
+}
+
+/**
+ * Interval snapshots read the accountants mid-run, which hands the
+ * pending idle run over early (as do periodic validation checks): every
+ * window, not just the final stacks, must match the reference engine.
+ */
+TEST(BatchedReference, IntervalSnapshotIdentity)
+{
+    for (const char *wname : {"mcf", "lbm", "cactus"}) {
+        for (const char *mname : {"bdw", "knl"}) {
+            const sim::MachineConfig machine = sim::machineByName(mname);
+            for (SpeculationMode mode :
+                 {SpeculationMode::kOracle, SpeculationMode::kSimple}) {
+                trace::SyntheticParams p = trace::findWorkload(wname).params;
+                p.num_instrs = 12'000;
+                trace::SyntheticGenerator gen(p);
+                SimOptions opt;
+                opt.spec_mode = mode;
+                opt.obs.interval_cycles = 1'000;
+                opt.validation = validate::ValidationPolicy::kWarn;
+                opt.validation_interval = 1'500;
+
+                opt.reference_engine = true;
+                const SimResult ref = sim::simulate(machine, gen, opt);
+                opt.reference_engine = false;
+                const SimResult bat = sim::simulate(machine, gen, opt);
+
+                const std::string label =
+                    std::string(wname) + "@" + mname + " mode " +
+                    std::to_string(static_cast<int>(mode));
+                expectIdentical(ref, bat, label);
+                SCOPED_TRACE(label);
+                const auto &rs = ref.intervals.samples;
+                const auto &bs = bat.intervals.samples;
+                ASSERT_GT(rs.size(), 2u);
+                ASSERT_EQ(rs.size(), bs.size());
+                for (std::size_t i = 0; i < rs.size(); ++i) {
+                    SCOPED_TRACE("window " + std::to_string(i));
+                    EXPECT_EQ(rs[i].start, bs[i].start);
+                    EXPECT_EQ(rs[i].end, bs[i].end);
+                    EXPECT_EQ(rs[i].instrs, bs[i].instrs);
+                    for (std::size_t st = 0; st < stacks::kNumStages; ++st)
+                        expectStacksClose(rs[i].cycle_stacks[st],
+                                          bs[i].cycle_stacks[st],
+                                          "interval cycle stack");
+                    expectStacksClose(rs[i].flops_cycles,
+                                      bs[i].flops_cycles,
+                                      "interval flops stack");
+                }
+            }
+        }
     }
 }
 

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "random_state.hpp"
+
 namespace stackscope::stacks {
 namespace {
+
+using testing::expectStacksNear;
+using testing::randomState;
 
 CpiAccountantConfig
 cfg(Stage stage, unsigned width = 4,
@@ -300,6 +307,78 @@ TEST(CpiAccountant, OracleModeIgnoresWrongPath)
     a.finalize();
     EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 0.0);
     EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBpred], 1.0);
+}
+
+/** tickRepeat(s, 1) is the per-cycle path, bit for bit. */
+TEST(CpiAccountant, TickRepeatOneBitwiseEqualsTick)
+{
+    for (SpeculationMode mode :
+         {SpeculationMode::kOracle, SpeculationMode::kSimple,
+          SpeculationMode::kSpecCounters}) {
+        for (Stage stage :
+             {Stage::kDispatch, Stage::kIssue, Stage::kCommit}) {
+            SCOPED_TRACE(std::string(toString(stage)) + " mode " +
+                         std::to_string(static_cast<int>(mode)));
+            CpiAccountant by_tick(cfg(stage, 4, mode));
+            CpiAccountant by_repeat(cfg(stage, 4, mode));
+            Rng rng(99);
+            for (int i = 0; i < 500; ++i) {
+                const CycleState s = randomState(rng);
+                by_tick.tick(s);
+                by_repeat.tickRepeat(s, 1);
+            }
+            by_tick.finalize();
+            by_repeat.finalize();
+            expectStacksNear(by_tick.cycles(), by_repeat.cycles(), 0.0);
+        }
+    }
+}
+
+/**
+ * An idle run folded by tickRepeat equals the same cycle ticked n times
+ * to within summation order — including a §III-A carry that takes
+ * several idle cycles to drain, and an unscheduled run.
+ */
+TEST(CpiAccountant, TickRepeatIdleRunMatchesRepeatedTicks)
+{
+    constexpr Cycle kRun = 1000;
+    CycleState burst = fullCycle(7);  // f = 3.5 at W = 2: carry 2.5
+    CycleState idle;                  // nothing dispatched/issued/committed
+    idle.fe_reason = FrontendReason::kIcache;
+    idle.rob_empty_correct = false;
+    idle.rob_empty_any = false;
+    idle.head_incomplete = true;
+    idle.head_blame = BackendBlame::kDcache;
+    idle.rs_empty_correct = false;
+    idle.rs_empty_any = false;
+    idle.issue_blame = BackendBlame::kDcache;
+    CycleState unsched;
+    unsched.unsched = true;
+
+    for (Stage stage : {Stage::kDispatch, Stage::kIssue, Stage::kCommit}) {
+        SCOPED_TRACE(toString(stage));
+        CpiAccountant by_tick(cfg(stage, 2));
+        CpiAccountant by_repeat(cfg(stage, 2));
+        by_tick.tick(burst);
+        by_repeat.tick(burst);
+        for (Cycle i = 0; i < kRun; ++i)
+            by_tick.tick(idle);
+        by_repeat.tickRepeat(idle, kRun);
+        for (Cycle i = 0; i < kRun; ++i)
+            by_tick.tick(unsched);
+        by_repeat.tickRepeat(unsched, kRun);
+        by_repeat.tickRepeat(idle, 0);  // an empty run is a no-op
+        by_tick.finalize();
+        by_repeat.finalize();
+
+        expectStacksNear(by_tick.cycles(), by_repeat.cycles(), 1e-9 * kRun);
+        EXPECT_NEAR(by_repeat.accountedCycles(), 2.0 * kRun + 1.0,
+                    1e-9 * kRun);
+        EXPECT_DOUBLE_EQ(by_repeat.cycles()[CpiComponent::kUnsched],
+                         static_cast<double>(kRun));
+        // The burst's 3.5 cycles of work drain into the base component.
+        EXPECT_NEAR(by_repeat.cycles()[CpiComponent::kBase], 3.5, 1e-12);
+    }
 }
 
 }  // namespace

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "random_state.hpp"
+
 namespace stackscope::stacks {
 namespace {
+
+using testing::expectStacksNear;
+using testing::randomState;
 
 /** k=2 VPUs, v=16 lanes: peak = 64 flops/cycle. */
 FlopsAccountantConfig
@@ -165,6 +170,42 @@ TEST(FlopsAccountant, ZeroCyclesGiveEmptyStack)
 {
     FlopsAccountant fa(cfg());
     EXPECT_DOUBLE_EQ(fa.asFlops(0, 1e9).sum(), 0.0);
+}
+
+/** tickRepeat(s, 1) is the per-cycle path, bit for bit. */
+TEST(FlopsAccountant, TickRepeatOneBitwiseEqualsTick)
+{
+    FlopsAccountant by_tick(cfg());
+    FlopsAccountant by_repeat(cfg());
+    Rng rng(7);
+    for (int i = 0; i < 500; ++i) {
+        const CycleState s = randomState(rng);
+        by_tick.tick(s);
+        by_repeat.tickRepeat(s, 1);
+    }
+    expectStacksNear(by_tick.cycles(), by_repeat.cycles(), 0.0);
+}
+
+/** An idle run (VFP work waiting on memory) scales linearly. */
+TEST(FlopsAccountant, TickRepeatIdleRunMatchesRepeatedTicks)
+{
+    constexpr Cycle kRun = 1000;
+    CycleState idle;
+    idle.vfp_in_rs = true;
+    idle.vfp_blame = VfpBlame::kMem;
+
+    FlopsAccountant by_tick(cfg());
+    FlopsAccountant by_repeat(cfg());
+    by_tick.tick(vfpCycle(1, 1.0, 8.0));
+    by_repeat.tick(vfpCycle(1, 1.0, 8.0));
+    for (Cycle i = 0; i < kRun; ++i)
+        by_tick.tick(idle);
+    by_repeat.tickRepeat(idle, kRun);
+
+    expectStacksNear(by_tick.cycles(), by_repeat.cycles(), 1e-9 * kRun);
+    EXPECT_DOUBLE_EQ(by_repeat.cycles()[FlopsComponent::kMem],
+                     static_cast<double>(kRun));
+    EXPECT_NEAR(by_repeat.cycles().sum(), kRun + 1.0, 1e-9 * kRun);
 }
 
 }  // namespace

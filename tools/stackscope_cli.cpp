@@ -95,6 +95,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -524,6 +525,14 @@ parseArgs(int argc, char **argv, CliOptions &opt)
         }
     }
 
+    // The trace holds warmup plus measured instructions; a sum that
+    // wraps would silently simulate a near-empty trace.
+    if (opt.warmupInstrs() >
+        std::numeric_limits<std::uint64_t>::max() - opt.instrs) {
+        throw StackscopeError(ErrorCategory::kUsage,
+                              "--instrs plus --warmup exceeds 2^64-1 "
+                              "instructions");
+    }
     // Batch commands run many jobs; a single trace file would be
     // ambiguous, so pipeline tracing is limited to one-run commands.
     if (!opt.trace_out.empty() && opt.command != "run" &&
